@@ -5,8 +5,7 @@ routes it through the experiment engine (:mod:`repro.exp`), then shapes
 the results into a :class:`FigureResult` whose ``text`` matches the
 paper's artefact (workloads x defenses normalised execution time, event
 proportions, size sweeps, ...).  The benches in ``benchmarks/`` call
-these and print the text; EXPERIMENTS.md records paper-vs-measured
-values.
+these and print the text (see docs/experiments.md).
 
 Every function accepts ``jobs`` (worker processes), ``cache`` (on-disk
 result cache: ``True``, a directory, or a ``ResultCache``) and
@@ -14,7 +13,7 @@ result cache: ``True``, a directory, or a ``ResultCache``) and
 figure is a single engine invocation, so cached/parallel execution is
 uniform across artefacts.  ``scale`` scales workload iteration counts
 (1.0 = the suite defaults, already ~5 orders of magnitude below the real
-SPEC runs; see DESIGN.md).
+SPEC runs; see :mod:`repro.workloads.spec`).
 """
 
 from __future__ import annotations

@@ -1312,6 +1312,7 @@ def _cmd_fuzz(args) -> int:
     oracle; exits 1 iff the divergence still reproduces).  Exit 2 is
     reserved for usage errors, as everywhere else in the CLI."""
     from repro import fuzz
+    from repro.fuzz import replay_reproducer
 
     def progress(message: str) -> None:
         print("fuzz: %s" % message, file=sys.stderr)
@@ -1328,8 +1329,8 @@ def _cmd_fuzz(args) -> int:
                   file=sys.stderr)
             return 2
         try:
-            verdict = fuzz.replay_reproducer(args.repro_path,
-                                             jobs=args.jobs)
+            verdict = replay_reproducer(args.repro_path,
+                                        jobs=args.jobs)
         except (OSError, ValueError, KeyError) as exc:
             # Unreadable/invalid reproducer files and unknown oracle
             # names (UnknownComponentError is a KeyError) alike.

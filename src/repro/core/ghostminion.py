@@ -18,7 +18,7 @@ Order with *TimeGuarding*:
 
 Timestamps here are monotone integers; ``repro.core.timestamp`` provides
 (and tests) the 2x-ROB wrap-around hardware encoding, and an optional
-cross-check asserts both agree (DESIGN.md note 2).
+cross-check asserts both agree.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ class Minion(SnapshotMixin):
         # DMinion-Timeless (fig. 9): no timestamp concept — wiped fully on
         # squash, but reads/fills ignore Temporal Order.
         self.timeless = timeless
-        # Optional hardware-encoding cross-check (DESIGN.md note 2).
+        # Optional hardware-encoding cross-check (repro.core.timestamp).
         self._window = (TimestampWindow(rob_entries)
                         if rob_entries > 0 else None)
         self._sets: List[Dict[int, MinionLine]] = [

@@ -10,6 +10,9 @@ doc assertions) — into one checker:
   must match a heading (GitHub anchor rules) in the target page;
 * ``docs/architecture.md`` is the map: it must link every other docs
   page;
+* every markdown page a module under ``src/`` cites by name
+  (``docs/performance.md``, ``architecture.md``, ...) must exist, at
+  the repo root or under ``docs/``;
 * the stall-taxonomy tables after the
   ``<!-- stall-taxonomy:skip -->`` / ``<!-- stall-taxonomy:veto -->``
   markers in ``docs/performance.md`` must list exactly the
@@ -36,6 +39,8 @@ TAXONOMY_TABLES = (("SKIP_CLASSES", "<!-- stall-taxonomy:skip -->"),
 #: [text](target) — excluding images and in-code backticked brackets.
 LINK_RE = re.compile(r"(?<!\!)\[[^\]]+\]\(([^)\s]+)\)")
 HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
+#: A markdown page cited by name in source text.
+CITATION_RE = re.compile(r"(?<![\w./-])(\w[\w./-]*\.md)(?!\w)")
 ROW_RE = re.compile(r"\|\s*`([a-z-]+)`\s*\|")
 
 
@@ -56,23 +61,29 @@ def _github_anchor(heading: str) -> str:
 
 
 class DocsSyncChecker(Checker):
-    """Docs links resolve; pinned tables match the code's sets."""
+    """Docs links and citations resolve; pinned tables match the
+    code's sets."""
 
     name = "docs-sync"
     summary = ("relative links/anchors resolve, architecture.md maps "
-               "every page, taxonomy tables match the code")
+               "every page, source citations resolve, taxonomy tables "
+               "match the code")
     contract = (
         "Docs drift is one lint family: (1) every relative link and "
         "#anchor in docs/*.md, ROADMAP.md and CHANGES.md must "
         "resolve (GitHub anchor rules); (2) docs/architecture.md must "
-        "link every other docs page; (3) the stall-taxonomy tables "
-        "after the <!-- stall-taxonomy:skip/veto --> markers in "
+        "link every other docs page; (3) every *.md page cited in "
+        "src/ must exist at the repo root or under docs/; (4) the "
+        "stall-taxonomy tables after the "
+        "<!-- stall-taxonomy:skip/veto --> markers in "
         "docs/performance.md must list exactly the SKIP_CLASSES / "
         "VETO_REASONS frozensets of src/repro/pipeline/core.py.")
     codes = {
         "broken-link": "relative link target does not exist",
         "broken-anchor": "link fragment matches no heading",
         "unmapped-page": "docs page not linked from architecture.md",
+        "dangling-citation": "source cites a markdown page that does "
+                             "not exist",
         "taxonomy-drift": "taxonomy table out of sync with the code",
         "missing-marker": "taxonomy marker/table missing from the "
                           "docs page",
@@ -82,6 +93,7 @@ class DocsSyncChecker(Checker):
         findings: List[Finding] = []
         self._check_links(ctx, findings)
         self._check_coverage(ctx, findings)
+        self._check_citations(ctx, findings)
         self._check_taxonomy(ctx, findings)
         return findings
 
@@ -154,6 +166,20 @@ class DocsSyncChecker(Checker):
                     "docs/architecture.md does not link %s — every "
                     "docs page must be reachable from the map" % name,
                     symbol=name, code="unmapped-page"))
+
+    def _check_citations(self, ctx: LintContext,
+                         findings: List[Finding]) -> None:
+        for path in ctx.python_files("src"):
+            for number, line in enumerate(ctx.read(path).splitlines(),
+                                          1):
+                for cited in CITATION_RE.findall(line):
+                    if ctx.exists(cited) or ctx.exists("docs/" + cited):
+                        continue
+                    findings.append(self.finding(
+                        path, number,
+                        "cites %s, which is neither a repo-root nor a "
+                        "docs/ page" % cited,
+                        symbol=cited, code="dangling-citation"))
 
     # -- taxonomy tables --------------------------------------------------
 

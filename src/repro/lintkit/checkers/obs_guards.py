@@ -6,7 +6,7 @@ per potential event: every emit site sits behind ``if self._obs is
 not None:`` (or an alias bound from ``._obs``), and the ``_obs``
 attribute itself defaults to ``None``.  An unguarded emit would make
 every untraced run pay a method call — and, worse, would crash the
-compiled hot core when ``_obs`` is ``None``.
+hot core with an ``AttributeError`` when ``_obs`` is ``None``.
 
 Structurally, inside the per-cycle hot modules:
 

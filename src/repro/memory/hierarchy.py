@@ -314,7 +314,7 @@ class SharedMemory(SnapshotMixin):
         ``(cycle data reaches the L1, hit level)``.
 
         Modelled without MSHR occupancy: these events are rare and the
-        eager fill avoids backpressure deadlocks (DESIGN.md).
+        eager fill avoids backpressure deadlocks.
         """
         self.drain(start)
         lat = self.cfg.l2.latency

@@ -14,7 +14,7 @@ Each entry carries a list of *fill actions* — (cache-like object, line,
 timestamp) tuples the hierarchy applies when the entry completes.  On a
 squash, pending fills into a GhostMinion with timestamps above the squash
 point are dropped, which is observationally identical to the hardware's
-wipe-by-timestamp (DESIGN.md note 3).
+wipe-by-timestamp.
 """
 
 from __future__ import annotations

@@ -19,9 +19,9 @@ Builtins:
     trace event, then every metrics sample.  The streaming-friendly
     format for ad-hoc ``jq``-style analysis.
 ``timeline``
-    The folded per-instruction view (the :class:`PipelineTracer`
-    successor): one JSON document of instruction lifetimes + run
-    summary.
+    The folded per-instruction view
+    (:func:`repro.obs.trace.build_inst_records`): one JSON document of
+    instruction lifetimes + run summary.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ A small RISC-like register machine: 32 64-bit integer registers
 address space, and explicit HALT.  FP opcodes (FADD/FMUL/FDIV/FSQRT)
 carry floating-point *timing* (FP functional units, non-pipelined
 dividers) with integer *semantics* — the paper's experiments depend on
-execution timing, never on FP numerics (DESIGN.md note 7).
+execution timing, never on FP numerics.
 
 Program counters are instruction indices; instruction memory addresses
 are ``pc * 4`` so a 64-byte I-cache line holds 16 instructions.

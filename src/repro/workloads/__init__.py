@@ -1,5 +1,5 @@
 """Synthetic workloads standing in for SPEC CPU2006, SPECspeed 2017 and
-Parsec (DESIGN.md substitution table).
+Parsec (the substitution table is :mod:`repro.workloads.spec`).
 
 Each benchmark in figs. 6-8 maps to a :class:`WorkloadSpec` — a kernel
 pattern (stream / pointer-chase / indirect-index / random / compute /

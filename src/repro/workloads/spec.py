@@ -5,8 +5,8 @@ dominant behaviour in the literature (memory-bound pointer chasing for
 mcf, streaming for lbm/libquantum, indirect gathers for xalancbmk, FP
 compute for gamess, ...).  Absolute footprints and iteration counts are
 scaled down ~5 orders of magnitude from the real suites so a pure-Python
-cycle simulator can run the full evaluation (DESIGN.md note 1); what is
-preserved is *which machine structure each workload stresses*.
+cycle simulator can run the full evaluation; what is preserved is
+*which machine structure each workload stresses*.
 """
 
 from __future__ import annotations

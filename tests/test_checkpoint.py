@@ -360,6 +360,24 @@ def test_warm_start_matches_cold_and_reports_telemetry(tmp_path):
     assert ResultStore(ck).checkpoint_stats()["checkpoints"] == 1
 
 
+def test_warm_start_checkpoints_long_dependency_chains(tmp_path):
+    """Committed instructions drop their producer links, so a prefix
+    whose dataflow chains back through the whole warm-up still pickles
+    (it used to raise RecursionError) and restores to the cold run."""
+    ck = str(tmp_path / "ck.sqlite")
+    point = dict(workload=resolve_workload("mixed(seed=1)"),
+                 defense=registry["MuonTrap"](), scale=0.1,
+                 max_insts=1200)
+    cold = next(iter(run_points([_point(**point)], cache=False).results))
+    for _ in ("create", "restore"):
+        warm = next(iter(run_points([_point(warmup_insts=1000, **point)],
+                                    cache=False,
+                                    checkpoints=ck).results))
+        assert (warm.cycles, warm.insts, warm.stats, warm.regs_digest) \
+            == (cold.cycles, cold.insts, cold.stats, cold.regs_digest)
+    assert warm.warm_insts >= 1000
+
+
 def test_warm_start_without_database_still_matches_cold():
     cold = next(iter(run_points([_point()], cache=False).results))
     warm = next(iter(run_points([_point(warmup_insts=1500)],

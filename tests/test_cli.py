@@ -434,13 +434,13 @@ def _bench_payload(speedup=2.0, extra=None):
 
 def test_bench_missing_section_reports_new_section(
         capsys, tmp_path):
-    """A baseline that predates a section (e.g. pre-accel) must diff
-    as 'new section', not raise (regression test)."""
+    """A baseline that predates a section must diff as 'new section',
+    not raise (regression test)."""
     baseline = tmp_path / "baseline.json"
     current = tmp_path / "current.json"
     baseline.write_text(json.dumps(_bench_payload()))
     current.write_text(json.dumps(_bench_payload(
-        extra={"accel_smoke": {"speedup": 3.0, "scale": 0.25}})))
+        extra={"extra_smoke": {"speedup": 3.0, "scale": 0.25}})))
     assert main(["bench", "--baseline", str(baseline),
                  "--current", str(current)]) == 0
     out = capsys.readouterr().out
@@ -453,7 +453,7 @@ def test_bench_null_speedup_section_reports_missing(capsys, tmp_path):
     baseline = tmp_path / "baseline.json"
     current = tmp_path / "current.json"
     baseline.write_text(json.dumps(_bench_payload(
-        extra={"accel_smoke": {"speedup": None, "scale": 0.25}})))
+        extra={"extra_smoke": {"speedup": None, "scale": 0.25}})))
     current.write_text(json.dumps(_bench_payload(speedup=None)))
     assert main(["bench", "--baseline", str(baseline),
                  "--current", str(current),

@@ -11,6 +11,7 @@ from repro import fuzz
 from repro.cli import main
 from repro.defenses import DEFENSES
 from repro.exp.engine import run_points
+from repro.fuzz import replay_reproducer
 from repro.fuzz.grammar import BOUNDS, FuzzPoint, RegistryChoice
 from repro.registry import (component_kinds, component_registry,
                             format_spec, normalize_spec, parse_spec)
@@ -184,7 +185,7 @@ def test_broken_component_caught_shrunk_and_replayed(
     path = fuzz.write_reproducer(minimal, "dense-event",
                                  str(tmp_path),
                                  detail=verdicts[0].detail)
-    replayed = fuzz.replay_reproducer(path, jobs=1)
+    replayed = replay_reproducer(path, jobs=1)
     assert not replayed.ok
     assert replayed.point == minimal
     # the CLI replay path agrees and exits nonzero

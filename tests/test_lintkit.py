@@ -297,6 +297,10 @@ def test_docs_sync_checker_fires(tmp_path):
             SKIP_CLASSES = frozenset({SKIP_MEM})
             VETO_REASONS = frozenset({"veto-a"})
             """,
+        "src/repro/memory/mshr.py": """\
+            \"\"\"Wipe by timestamp (DESIGN.md note 3); see
+            docs/performance.md and architecture.md.\"\"\"
+            """,
         "docs/architecture.md": """\
             # Architecture
             [performance](performance.md)
@@ -318,7 +322,11 @@ def test_docs_sync_checker_fires(tmp_path):
     report = run_lint(root=root, select=["docs-sync"])
     assert codes_of(report) == sorted([
         "broken-link", "broken-anchor", "unmapped-page",
-        "taxonomy-drift"])
+        "dangling-citation", "taxonomy-drift"])
+    citation = [f for f in report.findings
+                if f.code == "dangling-citation"][0]
+    assert (citation.path, citation.line, citation.symbol) == \
+        ("src/repro/memory/mshr.py", 1, "DESIGN.md")
     drift = [f for f in report.findings
              if f.code == "taxonomy-drift"][0]
     assert drift.symbol == "bogus-row"

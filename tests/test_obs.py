@@ -98,10 +98,19 @@ def test_build_inst_records_folds_lifetimes(traced):
     assert committed
     for record in committed:
         assert record.fetch <= record.commit
-    # Squashed instructions never commit.
-    for record in records.values():
-        if record.squashed:
-            assert record.commit is None
+        if record.issue is not None:
+            assert record.fetch <= record.issue <= record.commit
+    # Wrong-path instructions are marked squashed, each one younger
+    # than a recorded squash, and never commit.
+    squash_seqs = [e.seq for e in tracer.events if e.kind == "squash"]
+    squashed = [r for r in records.values() if r.squashed]
+    assert squash_seqs and squashed
+    for record in squashed:
+        assert record.commit is None
+        assert record.seq > min(squash_seqs)
+    # ``limit`` caps the number of distinct instructions recorded.
+    capped = build_inst_records(tracer.events, core=0, limit=10)
+    assert list(capped) == sorted(records)[:10]
 
 
 def test_run_markers_bracket_the_run(traced):
@@ -327,14 +336,3 @@ def test_obs_guards_checker_is_clean_on_this_tree():
     report = run_lint(root=detect_root(), select=["obs-guards"])
     assert report.clean, [str(f) for f in report.findings]
 
-
-def test_pipeline_tracer_adapter_reuses_obs(traced):
-    """The legacy PipelineTracer API rides the obs event stream (see
-    tests/test_trace.py for its behavioural suite)."""
-    from repro.analysis.trace import PipelineTracer
-    programs = get_workload("mcf").build(0.04)
-    sim = Simulator(programs, registry["GhostMinion"]())
-    tracer = PipelineTracer(sim.cores[0], limit=100)
-    sim.run(max_cycles=5000)
-    assert tracer.records
-    assert tracer.summary()["committed"] > 0
