@@ -114,6 +114,10 @@ def _scheduler_smoke(section, label, defense, cfg=None,
         "skipped_by_class": by_class,
         "dense_seconds": round(dense_s, 6),
         "event_seconds": round(event_s, 6),
+        # Absolute throughput: the ratio alone hides a speedup that
+        # lands on both paths (a faster dense loop shrinks it).
+        "dense_kinst_per_s": round(event_res.insts / dense_s / 1e3, 3),
+        "event_kinst_per_s": round(event_res.insts / event_s / 1e3, 3),
         "speedup": round(speedup, 3),
         "rounds": ROUNDS,
     }

@@ -24,7 +24,9 @@ The machinery is split across two modules:
 Values flow by dataflow: each dynamic instruction points at its
 producers and reads their results when it executes, so squashed
 instructions simply never write anything architectural (stores update
-memory only at commit).
+memory only at commit).  Producers point forward too, at the
+consumers they wake on completion; the issue stage and the stall
+analysis read the resulting ready list rather than polling operands.
 
 Defense hooks (see :mod:`repro.defenses.base`):
 
@@ -44,10 +46,8 @@ from repro.memory.request import ReqState
 from repro.pipeline.hotcore import (
     ADDR_MASK,
     ST_DONE,
-    ST_WAITING,
     DynInst,
     HotCore,
-    _seq_key,
 )
 from repro.pipeline.isa import INST_BYTES
 from repro.snapshot import SnapshotMixin
@@ -171,9 +171,11 @@ class Core(HotCore, SnapshotMixin):
         so the scheduler may jump straight to ``wake`` after applying
         them in bulk.
 
-        This mirrors :meth:`HotCore.step` stage by stage (commit,
+        This follows :meth:`HotCore.step` stage by stage (commit,
         writeback, validation issue, early commit, issue, dispatch,
-        fetch) and must be kept in lockstep with it: the
+        fetch), reading the hot core's shared state — the issue stage
+        walks the same seq-ordered ``ready`` list ``_issue`` walks —
+        and must be kept in lockstep with it: the
         ``REPRO_DENSE_LOOP=1`` differential tests in
         ``tests/test_scheduler_equivalence.py`` enforce the
         equivalence, and every outcome is named in the stall taxonomy
@@ -254,7 +256,7 @@ class Core(HotCore, SnapshotMixin):
                     continue
                 if di.seq < self._oldest_unresolved:
                     return StallVeto(VETO_EARLY_COMMIT_READY)
-        # -- issue: walk candidates in seq order, as _issue does -------
+        # -- issue: walk the ready list, as _issue does ---------------
         # Ops with ready operands no longer veto unconditionally: the
         # three issue-side stall classes (STT taint blocking, LSQ
         # store-address waits, MSHR-backpressure retries) are provable
@@ -263,7 +265,8 @@ class Core(HotCore, SnapshotMixin):
         # generation, an MSHR drain) can happen before `wake` — every
         # such event is itself a veto or a wakeup source above.
         # Retrying loads do consume issue slots and int-FU ports each
-        # cycle, so slot accounting mirrors _issue exactly.
+        # cycle, so the walk counts slots and int-FU ports as _issue
+        # spends them.
         strict_fu = self._strict_fu
         taint_on = self._taint_on
         blocked_classes = set()
@@ -271,27 +274,21 @@ class Core(HotCore, SnapshotMixin):
         int_used = 0
         issue_width = self._issue_width
         int_ports = self.fu_pool.ports("int")
-        for di in sorted(self.iq, key=_seq_key):
-            if di.squashed or di.state != ST_WAITING:
-                # Issue would prune the queue.
-                return StallVeto(VETO_ISSUE_READY)
-            instr = di.instr
-            nonpipelined = not instr.pipelined
+        for di in self.ready:
             if issued >= issue_width:
                 # Width exhausted by retrying loads: younger ops wait
-                # silently (dense: still_waiting, no bumps).
-                if strict_fu and nonpipelined:
+                # silently (dense: the walk stops, no bumps).
+                break
+            instr = di.instr
+            nonpipelined = not instr.pipelined
+            if strict_fu and nonpipelined:
+                if instr.fu_class in blocked_classes:
+                    bumps.append(self._h_strict_blocked[instr.fu_class])
+                    classes.add(SKIP_STRICT_FU)
+                    continue
+                if di.pending:
                     blocked_classes.add(instr.fu_class)
-                continue
-            if strict_fu and nonpipelined \
-                    and instr.fu_class in blocked_classes:
-                bumps.append(self._h_strict_blocked[instr.fu_class])
-                classes.add(SKIP_STRICT_FU)
-                continue
-            if not di.operands_ready():
-                if strict_fu and nonpipelined:
-                    blocked_classes.add(instr.fu_class)
-                continue
+                    continue
             # Operands ready: mirror _try_issue_one's blocking checks.
             if instr.is_load:
                 values = di.operand_values()

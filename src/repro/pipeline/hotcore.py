@@ -18,7 +18,13 @@ lookup-cheap layout:
 * per-cycle constants (defense mode flags, pipeline widths) are read
   out of the config/defense objects once, at construction;
 * the rename map is a dense list indexed by register number, not a
-  dict.
+  dict;
+* issue is wakeup-driven: each :class:`DynInst` counts its unfinished
+  producers (``pending``) and is woken by them on completion
+  (``consumers``), and ``_issue`` walks only the seq-ordered ``ready``
+  list instead of polling the whole issue queue;
+* ``executing`` is kept seq-ordered at insertion and fetch probes each
+  cache line once per call, so no stage sorts or re-probes per cycle.
 
 Import the public names from :mod:`repro.pipeline.core`.  The module
 path itself is part of the checkpoint format: pickled checkpoints
@@ -27,8 +33,10 @@ reference ``repro.pipeline.hotcore.DynInst``.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from itertools import islice
+from operator import attrgetter
 from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.analysis.stats import Stats
@@ -60,9 +68,9 @@ ST_EXECUTING = 1
 ST_DONE = 2
 
 
-def _seq_key(di: "DynInst") -> int:
-    """Sort key for program order (hoisted: no per-cycle lambda)."""
-    return di.seq
+#: Program-order key for the seq-ordered ``ready``/``executing`` lists
+#: (a C-level getter: ``insort`` calls it once per comparison).
+_seq_key = attrgetter("seq")
 
 
 class DynInst:
@@ -78,6 +86,8 @@ class DynInst:
         # defense bookkeeping
         "validated", "validation_done_cycle", "commit_stall_until",
         "replays", "promoted",
+        # wakeup bookkeeping: unfinished producers, instructions to wake
+        "pending", "consumers",
     )
 
     def __init__(self, seq: int, pc: int, instr: Instr,
@@ -113,18 +123,18 @@ class DynInst:
         self.commit_stall_until = -1
         self.replays = 0
         self.promoted = False  # §4.10 early commit performed
+        #: Producers not yet ST_DONE (counted per operand); issue only
+        #: looks at an instruction once this reaches zero.
+        self.pending = 0
+        #: Instructions whose ``pending`` counts this one; woken and
+        #: cleared when this one reaches ST_DONE.
+        self.consumers: List["DynInst"] = []
 
     def operand_values(self) -> List[int]:
         values = []
         for producer, value in self.operands:
             values.append(producer.result if producer is not None else value)
         return values
-
-    def operands_ready(self) -> bool:
-        for producer, _value in self.operands:
-            if producer is not None and producer.state != ST_DONE:
-                return False
-        return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "DynInst(#%d pc=%d %s)" % (self.seq, self.pc,
@@ -150,7 +160,7 @@ class HotCore:
         "fetch_pc", "fetch_stall_until", "fetch_halted",
         "pending_ifetch", "fetch_queue",
         # backend
-        "rob", "iq", "lq", "sq", "executing", "rename_map",
+        "rob", "iq", "ready", "lq", "sq", "executing", "rename_map",
         "unresolved_branches", "seq_counter",
         "epoch_timestamps", "epoch", "halted", "committed_insts",
         "_oldest_unresolved",
@@ -206,6 +216,10 @@ class HotCore:
         # backend
         self.rob: Deque[DynInst] = deque()
         self.iq: List[DynInst] = []
+        #: Seq-ordered IQ entries with no unfinished producer (plus,
+        #: under §4.9 strict FU order, every non-pipelined IQ entry):
+        #: the only entries ``_issue`` walks.
+        self.ready: List[DynInst] = []
         self.lq: List[DynInst] = []
         self.sq: List[DynInst] = []
         self.executing: List[DynInst] = []
@@ -307,6 +321,11 @@ class HotCore:
             return
         fetched = 0
         max_queue = 2 * self._fetch_width
+        # The last line probed present in this call.  Nothing between
+        # two probes here changes the hierarchy, and Minion visibility
+        # only grows with the fetch timestamp, so a present line stays
+        # present for the rest of the call.
+        present_line = -1
         while fetched < self._fetch_width and \
                 len(self.fetch_queue) < max_queue:
             pc = self.fetch_pc
@@ -316,8 +335,10 @@ class HotCore:
                 self.stats.add(self._h_fetch_off_end)
                 return
             addr = pc * INST_BYTES
-            if not self._ifetch_line_ready(addr, cycle):
-                return
+            if addr >> 6 != present_line:
+                if not self._ifetch_line_ready(addr, cycle):
+                    return
+                present_line = addr >> 6
             instr = self.program.instrs[pc]
             ts = None
             if self.epoch_timestamps:
@@ -427,6 +448,9 @@ class HotCore:
                     self._oldest_unresolved = di.seq
             if needs_iq:
                 self.iq.append(di)
+                if not di.pending or (self._strict_fu
+                                      and not instr.pipelined):
+                    self.ready.append(di)
             else:
                 self._finish_trivial(di, cycle)
             dispatched += 1
@@ -442,6 +466,9 @@ class HotCore:
                 di.operands.append((None, self.regs[reg]))
             else:
                 di.operands.append((producer, 0))
+                if producer.state != ST_DONE:
+                    di.pending += 1
+                    producer.consumers.append(di)
             if self._taint_on:
                 di.operand_taints.append(self._operand_taint(producer))
         if self._taint_on:
@@ -469,6 +496,22 @@ class HotCore:
             di.result = di.pc + 1
         di.state = ST_DONE
         di.done_cycle = cycle
+        if di.consumers:
+            self._wake_consumers(di)
+
+    def _wake_consumers(self, di: DynInst) -> None:
+        """``di`` just reached ST_DONE: count it off in every consumer,
+        move the ones left with no unfinished producer onto ``ready``,
+        and drop the links (committed history stays unchained)."""
+        strict_fu = self._strict_fu
+        for consumer in di.consumers:
+            consumer.pending -= 1
+            if consumer.pending or consumer.squashed:
+                continue
+            if strict_fu and not consumer.instr.pipelined:
+                continue  # on ``ready`` since dispatch
+            insort(self.ready, consumer, key=_seq_key)
+        di.consumers = []
 
     # ==================================================================
     # issue
@@ -479,45 +522,41 @@ class HotCore:
         strict_fu = self._strict_fu
         blocked_classes = set()
         issued = 0
-        still_waiting: List[DynInst] = []
-        self.iq.sort(key=_seq_key)
-        for di in self.iq:
-            if di.squashed or di.state != ST_WAITING:
-                continue
+        issue_width = self._issue_width
+        issued_out: List[DynInst] = []
+        # Oldest first, over the ready list only: entries still waiting
+        # on a producer can neither issue nor bump anything, and past
+        # the issue width nothing younger can either.
+        for di in self.ready:
+            if issued >= issue_width:
+                break
             instr = di.instr
-            nonpipelined = not instr.pipelined
-            if issued >= self._issue_width:
-                still_waiting.append(di)
-                if strict_fu and nonpipelined:
-                    blocked_classes.add(instr.fu_class)
+            if strict_fu and not instr.pipelined:
+                fu_class = instr.fu_class
+                if fu_class in blocked_classes:
+                    # §4.9: a non-pipelined unit may only be issued a
+                    # speculative operation once all older
+                    # (timestamp-order) operations that may use the
+                    # same unit have issued — including ones whose
+                    # operands are not ready yet, which is why these
+                    # ops sit on ``ready`` from dispatch.
+                    self.stats.add(self._h_strict_blocked[fu_class])
+                    continue
+                if di.pending or not self._try_issue_one(di, cycle):
+                    blocked_classes.add(fu_class)
+                    continue
+            elif not self._try_issue_one(di, cycle):
                 continue
-            if strict_fu and nonpipelined \
-                    and instr.fu_class in blocked_classes:
-                # §4.9: a non-pipelined unit may only be issued a
-                # speculative operation once all older (timestamp-order)
-                # operations that may use the same unit have issued —
-                # including ones whose operands are not ready yet.
-                self.stats.add(self._h_strict_blocked[instr.fu_class])
-                still_waiting.append(di)
-                continue
-            if not di.operands_ready():
-                still_waiting.append(di)
-                if strict_fu and nonpipelined:
-                    blocked_classes.add(instr.fu_class)
-                continue
-            if self._try_issue_one(di, cycle):
-                issued += 1
-                if di.state == ST_WAITING:
-                    # loads that hit retry/backpressure stay waiting
-                    still_waiting.append(di)
-                elif self._obs is not None:
-                    self._obs.emit_stage(self.core_id, di.seq, di.pc,
-                                         instr.op.value, "issue", cycle)
-            else:
-                still_waiting.append(di)
-                if strict_fu and nonpipelined:
-                    blocked_classes.add(instr.fu_class)
-        self.iq = still_waiting
+            issued += 1
+            if di.state == ST_WAITING:
+                continue  # a load retrying under backpressure stays queued
+            issued_out.append(di)
+            if self._obs is not None:
+                self._obs.emit_stage(self.core_id, di.seq, di.pc,
+                                     instr.op.value, "issue", cycle)
+        for di in issued_out:
+            self.ready.remove(di)
+            self.iq.remove(di)
 
     def _try_issue_one(self, di: DynInst, cycle: int) -> bool:
         instr = di.instr
@@ -555,7 +594,7 @@ class HotCore:
             di.result = evaluate(instr.op, a, b, instr.imm)
         di.state = ST_EXECUTING
         di.done_cycle = cycle + instr.latency
-        self.executing.append(di)
+        insort(self.executing, di, key=_seq_key)
         return True
 
     def _compute_branch(self, di: DynInst, values: List[int]) -> None:
@@ -594,7 +633,7 @@ class HotCore:
             di.forwarded = True
             di.state = ST_EXECUTING
             di.done_cycle = cycle + 1
-            self.executing.append(di)
+            insort(self.executing, di, key=_seq_key)
             self.stats.add(self._h_lsq_forwards)
             return True
         req = self.hierarchy.load(addr, di.ts, cycle, speculative=True,
@@ -605,7 +644,7 @@ class HotCore:
         di.memreq = req
         di.result = self._memory_value(addr)
         di.state = ST_EXECUTING
-        self.executing.append(di)
+        insort(self.executing, di, key=_seq_key)
         return True
 
     def _memory_value(self, addr: int) -> int:
@@ -666,7 +705,7 @@ class HotCore:
         di.store_value = values[1] if len(values) > 1 else 0
         di.state = ST_EXECUTING
         di.done_cycle = cycle + 1
-        self.executing.append(di)
+        insort(self.executing, di, key=_seq_key)
         return True
 
     # ==================================================================
@@ -675,8 +714,8 @@ class HotCore:
 
     def _writeback(self, cycle: int) -> None:
         remaining: List[DynInst] = []
-        # Resolve oldest-first so an older mispredict squashes younger ones.
-        self.executing.sort(key=_seq_key)
+        # Resolve oldest-first (``executing`` is kept seq-ordered) so an
+        # older mispredict squashes younger ones.
         for di in self.executing:
             if di.squashed:
                 continue
@@ -687,6 +726,7 @@ class HotCore:
                     di.memreq = None
                     di.replays += 1
                     self.iq.append(di)
+                    insort(self.ready, di, key=_seq_key)
                     self.stats.add(self._h_load_replays)
                     if self._obs is not None:
                         self._obs.emit_stage(self.core_id, di.seq, di.pc,
@@ -705,6 +745,8 @@ class HotCore:
             else:
                 remaining.append(di)
                 continue
+            if di.consumers:
+                self._wake_consumers(di)
             if self._obs is not None:
                 self._obs.emit_stage(self.core_id, di.seq, di.pc,
                                      di.instr.op.value, "writeback",
@@ -739,10 +781,15 @@ class HotCore:
         for di in self.rob:
             if di.seq > boundary:
                 di.squashed = True
+                # A squashed op never completes, so nothing would clear
+                # these links: drop them here, or each squashed
+                # producer/consumer pair is a cycle for the cyclic GC.
+                di.consumers = []
                 squashed += 1
         if squashed:
             self.rob = deque(d for d in self.rob if not d.squashed)
             self.iq = [d for d in self.iq if not d.squashed]
+            self.ready = [d for d in self.ready if not d.squashed]
             self.lq = [d for d in self.lq if not d.squashed]
             self.sq = [d for d in self.sq if not d.squashed]
             self.executing = [d for d in self.executing if not d.squashed]
