@@ -17,6 +17,11 @@ perf trajectory, compared across PRs):
    (``repro report``'s path: query + table shaping, zero simulation)
    vs re-simulating it — the reason the store exists.
 
+The two scheduler sections are gated on absolute event-scheduler
+throughput (``event_kinst_per_s``), not on the dense ÷ event ratio: a
+faster hot core speeds up both loops, the dense one most, so the ratio
+shrinks on exactly the changes that help.  The ratio is still recorded.
+
 Run directly (CI does, as a non-gating step):
 
     PYTHONPATH=src python -m pytest -q benchmarks/bench_perf_smoke.py
@@ -44,6 +49,13 @@ OUT_PATH = os.environ.get("REPRO_BENCH_PERF_OUT", DEFAULT_OUT)
 WORKLOAD = "mcf"
 DEFENSE = "GhostMinion"
 ROUNDS = 3
+
+#: Event-scheduler throughput floor (kinst/s, best of ROUNDS) for the
+#: two scheduler sections.  Both read 14-17 kinst/s on a two-CPU
+#: development host; the floor sits at about a third of that, because
+#: a shared host can run a whole bench at half speed, so only a severe
+#: hot-path regression trips it.
+MIN_EVENT_KINST_PER_S = 5.0
 
 
 def _time_run(programs, dense, defense=None, cfg=None):
@@ -85,10 +97,10 @@ def _update_payload(section, payload):
 
 
 def _scheduler_smoke(section, label, defense, cfg=None,
-                     extra_payload=None, floor=2.0):
+                     extra_payload=None):
     """One dense-vs-event scheduler comparison: assert byte-identity,
-    merge a payload section into BENCH_perf.json, gate the speedup.
-    Returns the event-scheduler RunResult."""
+    merge a payload section into BENCH_perf.json, gate the event
+    scheduler's throughput.  Returns the event-scheduler RunResult."""
     programs = get_workload(WORKLOAD).build(PERF_SCALE)
     dense_s, dense_res = _time_run(programs, True, defense, cfg)
     event_s, event_res = _time_run(programs, False, defense, cfg)
@@ -99,6 +111,7 @@ def _scheduler_smoke(section, label, defense, cfg=None,
     assert dense_res.arch_regs() == event_res.arch_regs()
 
     speedup = dense_s / event_s if event_s > 0 else float("inf")
+    event_kinst_per_s = event_res.insts / event_s / 1e3
     by_class = {cls: event_res.skipped_by_class[cls]
                 for cls in sorted(event_res.skipped_by_class)}
     payload = {
@@ -117,7 +130,7 @@ def _scheduler_smoke(section, label, defense, cfg=None,
         # Absolute throughput: the ratio alone hides a speedup that
         # lands on both paths (a faster dense loop shrinks it).
         "dense_kinst_per_s": round(event_res.insts / dense_s / 1e3, 3),
-        "event_kinst_per_s": round(event_res.insts / event_s / 1e3, 3),
+        "event_kinst_per_s": round(event_kinst_per_s, 3),
         "speedup": round(speedup, 3),
         "rounds": ROUNDS,
     }
@@ -130,26 +143,23 @@ def _scheduler_smoke(section, label, defense, cfg=None,
              speedup, event_res.skipped_cycles, event_res.cycles,
              OUT_PATH))
     print("skipped by class: %s" % by_class)
-    assert speedup >= floor, (
-        "%s only %.2fx faster than the dense loop (floor %.1fx)"
-        % (label, speedup, floor))
+    assert event_kinst_per_s >= MIN_EVENT_KINST_PER_S, (
+        "%s: event scheduler only %.2f kinst/s (floor %.1f)"
+        % (label, event_kinst_per_s, MIN_EVENT_KINST_PER_S))
     return event_res
 
 
 def test_perf_smoke():
-    # Acceptance bar >= 2x (was 1.5x before the issue-side stall skips
-    # widened the windows).
     _scheduler_smoke(None, "perf smoke", DEFENSE)
 
 
 def test_perf_smoke_issue_stalls():
-    """Scheduler speedup where issue-side stalls dominate: an
+    """Scheduler throughput where issue-side stalls dominate: an
     MSHR-starved ``mcf`` under MuonTrap, whose speculatively trained
     prefetcher makes every backpressure retry cycle side-effectful.
     Skippable only since the issue-side stall classes (STT taint, LSQ
-    store-address waits, MSHR-backpressure retries; before them this
-    point sat near 1.5x) learned to prove and bulk-apply those
-    effects."""
+    store-address waits, MSHR-backpressure retries) learned to prove
+    and bulk-apply those effects."""
     programs = get_workload(WORKLOAD).build(PERF_SCALE)
     cfg = default_config(cores=len(programs))
     cfg.l1d.mshrs = 2

@@ -16,6 +16,14 @@ attribute/subscript chain are *shared*.  Writes through shared roots
 and calls of known mutating methods on shared roots are findings.
 Nested ``lambda``/``def`` bodies are skipped — deferred replay
 thunks are exactly the sanctioned place for mutation.
+
+The walk is intraprocedural, so it also follows helper calls one
+level: every ``self.<helper>(...)`` call in a proof-family method is
+resolved against the class hierarchy of each class that has the
+method (its own class, inherited bases and overriding subclasses
+within the scanned scope) and the helper's body is walked with the
+same rules.  ``Core.next_event_cycle`` calling
+``HotCore._older_store_conflict`` is checked that way.
 """
 
 from __future__ import annotations
@@ -23,8 +31,8 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, Set
 
-from repro.lintkit.astutil import class_methods, iter_classes, \
-    root_name, target_names
+from repro.lintkit.astutil import base_names, class_methods, \
+    iter_classes, root_name, target_names
 from repro.lintkit.base import Checker, Finding, LintContext
 
 #: Exact names in the family besides the ``*_proof``/``probe*``
@@ -50,6 +58,25 @@ MUTATORS = frozenset({
 def in_family(name: str) -> bool:
     return name.endswith("_proof") or name.startswith("probe") \
         or name in FAMILY_NAMES
+
+
+def self_calls(func: ast.FunctionDef) -> List[str]:
+    """Names of the ``self.<name>(...)`` calls in ``func``'s own body
+    (nested lambdas/defs are deferred thunks, as in the walk)."""
+    names: List[str] = []
+    stack = list(ast.iter_child_nodes(func))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Lambda, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Call) \
+                and isinstance(node.func, ast.Attribute) \
+                and isinstance(node.func.value, ast.Name) \
+                and node.func.value.id == "self":
+            names.append(node.func.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
 
 
 class _PurityWalk(ast.NodeVisitor):
@@ -196,7 +223,9 @@ class ProofPurityChecker(Checker):
         "container append/pop/...) on shared receivers.  Mutations are "
         "returned as StallProof bump handles and replay thunks "
         "(nested lambda/def bodies are exempt) and applied by the "
-        "scheduler when the skip commits.")
+        "scheduler when the skip commits.  Same-class helpers the "
+        "family calls as self.<helper>() are held to the same rules "
+        "(one call level deep).")
     codes = {
         "attr-assign": "write through shared state in a proof function",
         "aug-assign": "in-place update of shared state in a proof "
@@ -212,6 +241,8 @@ class ProofPurityChecker(Checker):
     def run(self, ctx: LintContext) -> List[Finding]:
         findings: List[Finding] = []
         seen: Set[str] = set()
+        #: class name -> (path, class node, its methods), first seen.
+        classes: Dict[str, tuple] = {}
         for subdir in self.scope:
             for path in ctx.python_files(subdir):
                 if path in seen:
@@ -221,11 +252,66 @@ class ProofPurityChecker(Checker):
                 if tree is None:
                     continue
                 for cls in iter_classes(tree):
-                    for fname, func in class_methods(cls).items():
+                    methods = class_methods(cls)
+                    classes.setdefault(cls.name, (path, cls, methods))
+                    for fname, func in methods.items():
                         if not in_family(fname):
                             continue
-                        symbol = "%s.%s" % (cls.name, fname)
-                        walk = _PurityWalk(self, path, symbol, func)
-                        walk.visit(func)
-                        findings.extend(walk.findings)
+                        findings.extend(self._walk(path, "%s.%s" % (
+                            cls.name, fname), func))
+        findings.extend(self._helper_findings(classes))
+        return findings
+
+    def _walk(self, path: str, symbol: str,
+              func: ast.FunctionDef) -> List[Finding]:
+        walk = _PurityWalk(self, path, symbol, func)
+        walk.visit(func)
+        return walk.findings
+
+    def _helper_findings(self, classes: Dict[str, tuple]
+                         ) -> List[Finding]:
+        """Walk each non-family helper a proof-family method reaches
+        through ``self.<helper>()``, resolved per concrete class (so an
+        inherited proof checks a subclass's override too)."""
+        def mro(name: str) -> List[str]:
+            order: List[str] = []
+            pending = [name]
+            while pending:
+                current = pending.pop(0)
+                if current in order or current not in classes:
+                    continue
+                order.append(current)
+                pending.extend(base_names(classes[current][1]))
+            return order
+
+        def resolve(chain: List[str], method: str):
+            for owner in chain:
+                func = classes[owner][2].get(method)
+                if func is not None:
+                    return owner, func
+            return None
+
+        findings: List[Finding] = []
+        checked: Set[tuple] = set()
+        for name in sorted(classes):
+            chain = mro(name)
+            family = {}
+            for owner in reversed(chain):
+                for fname, func in classes[owner][2].items():
+                    if in_family(fname):
+                        family[fname] = func
+            for fname in sorted(family):
+                for helper in self_calls(family[fname]):
+                    if in_family(helper):
+                        continue  # walked in its own right
+                    found = resolve(chain, helper)
+                    if found is None:
+                        continue
+                    owner, func = found
+                    if (owner, helper) in checked:
+                        continue
+                    checked.add((owner, helper))
+                    findings.extend(self._walk(
+                        classes[owner][0], "%s.%s" % (owner, helper),
+                        func))
         return findings

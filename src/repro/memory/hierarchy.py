@@ -435,10 +435,14 @@ class BaseHierarchy(SnapshotMixin):
     # ------------------------------------------------------------------
 
     def drain(self, cycle: int) -> None:
-        self.shared.drain(cycle)
+        shared = self.shared
+        if cycle < self.dport.mshrs._due and cycle < self.iport.mshrs._due \
+                and cycle < shared.l2_mshrs._due:
+            return  # hot path: no MSHR file can have a fill due
+        shared.drain(cycle)
         for port in (self.dport, self.iport):
             for entry in port.mshrs.drain(cycle):
-                self.shared._apply_fills(entry, cycle)
+                shared._apply_fills(entry, cycle)
 
     def next_event_cycle(self) -> float:
         """Earliest cycle at which this hierarchy can change state on its

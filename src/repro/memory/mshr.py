@@ -25,6 +25,10 @@ from repro.analysis.stats import Stats
 from repro.memory.request import MemRequest
 from repro.snapshot import SnapshotMixin
 
+#: What :meth:`MSHRFile.drain` returns when nothing is due (shared;
+#: callers only iterate it).
+_NONE_DUE: List["MSHREntry"] = []
+
 # Timestamp given to prefetch-allocated entries: any demand request may
 # leapfrog a prefetch, and a prefetch never leapfrogs anything.
 PREFETCH_TS = float("inf")
@@ -103,6 +107,12 @@ class MSHRFile(SnapshotMixin):
         #: behind an is-not-None guard (the ``obs-guards`` lint contract).
         self._obs = None
         self.entries: List[MSHREntry] = []
+        #: Lower bound on every entry's ``ready_cycle`` (``inf`` when
+        #: idle), so ``drain`` can return without a scan.  Allocation
+        #: and timeleap lower it; removals and dependent postpones only
+        #: raise the true minimum, so they leave it alone; a ``drain``
+        #: that scans re-tightens it.
+        self._due = float("inf")
         self._h_allocs = self.stats.handle(name + ".allocs")
         self._h_leapfrogs = self.stats.handle(name + ".leapfrogs")
         self._h_victim_replays = self.stats.handle(
@@ -151,6 +161,8 @@ class MSHRFile(SnapshotMixin):
         entry = MSHREntry(line, ts, ready_cycle, prefetch=prefetch,
                           core=core)
         self.entries.append(entry)
+        if ready_cycle < self._due:
+            self._due = ready_cycle
         self.stats.add(self._h_allocs)
         if self._obs is not None:
             # Allocation sites do not pass the current cycle; the event
@@ -208,6 +220,8 @@ class MSHRFile(SnapshotMixin):
         """
         entry.ts = ts
         entry.ready_cycle = ready_cycle
+        if ready_cycle < self._due:
+            self._due = ready_cycle
         entry.prefetch = False
         entry.squashed = False
         for req in entry.requests:
@@ -240,16 +254,19 @@ class MSHRFile(SnapshotMixin):
 
     def drain(self, cycle: int) -> List[MSHREntry]:
         """Pop and return all entries whose data has arrived."""
-        if not self.entries:
-            return self.entries  # hot path: idle file, no list built
-        done = [e for e in self.entries if e.ready_cycle <= cycle]
+        if cycle < self._due:
+            return _NONE_DUE  # hot path: nothing can be due, no scan
+        entries = self.entries
+        done = [e for e in entries if e.ready_cycle <= cycle]
         if done:
-            self.entries = [e for e in self.entries
-                            if e.ready_cycle > cycle]
+            entries = self.entries = [e for e in entries
+                                      if e.ready_cycle > cycle]
             if self._obs is not None:
                 for entry in done:
                     self._obs.emit_mem(self.name, "mshr-fill", entry.line,
                                        cycle)
+        self._due = min([e.ready_cycle for e in entries],
+                        default=float("inf"))
         return done
 
     def drop_fills_above(self, ts, fill_tag_fns) -> int:

@@ -186,10 +186,14 @@ class Core(HotCore, SnapshotMixin):
         """
         if self.halted:
             return StallProof(float("inf"), (), (), ())
-        wake = self.hierarchy.next_event_cycle()
-        if wake <= cycle:
-            # A fill is due: drain has work this cycle.
+        hierarchy = self.hierarchy
+        if (hierarchy.dport.mshrs._due <= cycle
+                or hierarchy.iport.mshrs._due <= cycle) \
+                and hierarchy.next_event_cycle() <= cycle:
+            # A fill is due: drain has work this cycle.  (The cached
+            # per-file lower bounds rule this out without a scan.)
             return StallVeto(VETO_MEM_EVENT_DUE)
+        wake = float("inf")
         bumps = []
         replays = []
         classes = set()
@@ -274,6 +278,7 @@ class Core(HotCore, SnapshotMixin):
         int_used = 0
         issue_width = self._issue_width
         int_ports = self.fu_pool.ports("int")
+        last_slot = None
         for di in self.ready:
             if issued >= issue_width:
                 # Width exhausted by retrying loads: younger ops wait
@@ -295,11 +300,10 @@ class Core(HotCore, SnapshotMixin):
                 base = values[0] if instr.rs1 is not None else 0
                 addr = (base + instr.imm) & ADDR_MASK
                 conflict = self._older_store_conflict(di, addr)
-                if conflict == "wait":
-                    # The blocking store cannot generate its address
-                    # before `wake`: it is either mid-execution (its
-                    # completion bounds the window via the writeback
-                    # scan) or blocked on producers that are.
+                if conflict is not None and conflict.state != ST_DONE:
+                    # Not parked yet (woken past the issue width): the
+                    # dense walk parks it and counts the wait, as for
+                    # the parked loads below.
                     bumps.append(self._h_lsq_load_waits)
                     classes.add(SKIP_LSQ_STORE_ADDR)
                     continue
@@ -323,6 +327,8 @@ class Core(HotCore, SnapshotMixin):
                 # port, probing the L1 side, training the prefetcher
                 # (replayed in bulk) and bumping the retry counters.
                 issued += 1
+                if issued == issue_width:
+                    last_slot = di
                 int_used += 1
                 wake = min(wake, proof.wake)
                 bumps.append(self._h_fu_int_issued)
@@ -362,6 +368,16 @@ class Core(HotCore, SnapshotMixin):
                     blocked_classes.add(instr.fu_class)
                 continue  # try_issue would fail silently
             return StallVeto(VETO_ISSUE_READY)
+        # -- parked loads: one store wait each per cycle, by _issue's rule
+        # Their blocking stores cannot generate an address or complete
+        # before `wake`: each is mid-execution (its completion bounds
+        # the window via the writeback scan), blocked on producers that
+        # are, or held back by a proven issue-side stall above.
+        if self.parked:
+            waits = self._parked_waits(last_slot)
+            if waits:
+                bumps.extend([self._h_lsq_load_waits] * waits)
+                classes.add(SKIP_LSQ_STORE_ADDR)
         # -- dispatch: blocked head bumps one full-counter per cycle ---
         if self.fetch_queue:
             di = self.fetch_queue[0]
@@ -426,4 +442,6 @@ class Core(HotCore, SnapshotMixin):
                     else:
                         wake = min(wake, req.ready_cycle)
                         classes.add(SKIP_FETCH_STALL)
+        # No veto fired: only now pay for the exact L1-side wakeup.
+        wake = min(wake, hierarchy.next_event_cycle())
         return StallProof(wake, bumps, replays, classes)

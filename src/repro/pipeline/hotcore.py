@@ -23,8 +23,15 @@ lookup-cheap layout:
   producers (``pending``) and is woken by them on completion
   (``consumers``), and ``_issue`` walks only the seq-ordered ``ready``
   list instead of polling the whole issue queue;
+* a load that must wait for an older store's address is parked on that
+  store (``parked`` / ``DynInst.mem_waiters``) and woken when the store
+  generates its address or completes, instead of re-running the
+  store-queue check every cycle; its per-cycle ``lsq.load_waits`` bump
+  is applied in bulk (see ``_issue``);
 * ``executing`` is kept seq-ordered at insertion and fetch probes each
-  cache line once per call, so no stage sorts or re-probes per cycle.
+  cache line once per call, so no stage sorts or re-probes per cycle;
+* committed instructions drop their links to shared immutable empties,
+  and the fetch/commit instruction counters are bumped once per call.
 
 Import the public names from :mod:`repro.pipeline.core`.  The module
 path itself is part of the checkpoint format: pickled checkpoints
@@ -33,7 +40,7 @@ reference ``repro.pipeline.hotcore.DynInst``.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from collections import deque
 from itertools import islice
 from operator import attrgetter
@@ -68,9 +75,15 @@ ST_EXECUTING = 1
 ST_DONE = 2
 
 
-#: Program-order key for the seq-ordered ``ready``/``executing`` lists
-#: (a C-level getter: ``insort`` calls it once per comparison).
+#: Program-order key for the seq-ordered ``ready``/``parked``/
+#: ``executing`` lists (a C-level getter: ``insort`` calls it once per
+#: comparison).
 _seq_key = attrgetter("seq")
+
+#: What a committed instruction's links are reset to: shared immutable
+#: empties, so commit allocates nothing per instruction.
+_NO_LINKS: Tuple = ()
+_NO_TAINT: frozenset = frozenset()
 
 
 class DynInst:
@@ -86,8 +99,9 @@ class DynInst:
         # defense bookkeeping
         "validated", "validation_done_cycle", "commit_stall_until",
         "replays", "promoted",
-        # wakeup bookkeeping: unfinished producers, instructions to wake
-        "pending", "consumers",
+        # wakeup bookkeeping: unfinished producers, instructions to wake,
+        # loads parked on this store
+        "pending", "consumers", "mem_waiters",
     )
 
     def __init__(self, seq: int, pc: int, instr: Instr,
@@ -129,6 +143,10 @@ class DynInst:
         #: Instructions whose ``pending`` counts this one; woken and
         #: cleared when this one reaches ST_DONE.
         self.consumers: List["DynInst"] = []
+        #: Loads parked on this store (it blocks their store-queue
+        #: check); woken and cleared when it generates its address and
+        #: when it reaches ST_DONE.
+        self.mem_waiters: List["DynInst"] = []
 
     def operand_values(self) -> List[int]:
         values = []
@@ -160,7 +178,8 @@ class HotCore:
         "fetch_pc", "fetch_stall_until", "fetch_halted",
         "pending_ifetch", "fetch_queue",
         # backend
-        "rob", "iq", "ready", "lq", "sq", "executing", "rename_map",
+        "rob", "iq", "ready", "parked", "lq", "sq", "executing",
+        "rename_map",
         "unresolved_branches", "seq_counter",
         "epoch_timestamps", "epoch", "halted", "committed_insts",
         "_oldest_unresolved",
@@ -220,6 +239,10 @@ class HotCore:
         #: under §4.9 strict FU order, every non-pipelined IQ entry):
         #: the only entries ``_issue`` walks.
         self.ready: List[DynInst] = []
+        #: Seq-ordered IQ loads waiting for an older store's address:
+        #: each sits on exactly one store's ``mem_waiters`` and is off
+        #: ``ready`` until that store wakes it.
+        self.parked: List[DynInst] = []
         self.lq: List[DynInst] = []
         self.sq: List[DynInst] = []
         self.executing: List[DynInst] = []
@@ -296,7 +319,6 @@ class HotCore:
         if self.halted:
             return
         self.hierarchy.drain(cycle)
-        self._refresh_oldest_unresolved()
         self._commit(cycle)
         if self.halted:
             return
@@ -321,6 +343,8 @@ class HotCore:
             return
         fetched = 0
         max_queue = 2 * self._fetch_width
+        instrs = self.program.instrs
+        n_instrs = len(instrs)
         # The last line probed present in this call.  Nothing between
         # two probes here changes the hierarchy, and Minion visibility
         # only grows with the fetch timestamp, so a present line stays
@@ -329,30 +353,31 @@ class HotCore:
         while fetched < self._fetch_width and \
                 len(self.fetch_queue) < max_queue:
             pc = self.fetch_pc
-            if pc < 0 or pc >= len(self.program.instrs):
+            if pc < 0 or pc >= n_instrs:
                 # Fell off the program (can happen transiently); treat as
                 # a stream of NOPs that will be squashed, by stalling.
                 self.stats.add(self._h_fetch_off_end)
-                return
+                break
             addr = pc * INST_BYTES
             if addr >> 6 != present_line:
                 if not self._ifetch_line_ready(addr, cycle):
-                    return
+                    break
                 present_line = addr >> 6
-            instr = self.program.instrs[pc]
+            instr = instrs[pc]
             ts = None
             if self.epoch_timestamps:
                 ts = self.epoch
             di = DynInst(self.seq_counter, pc, instr, ts=ts)
             self.seq_counter += 1
-            if self.epoch_timestamps and instr.is_branch \
-                    and instr.op not in (Op.JMP, Op.CALL):
-                # a new (more speculative) epoch begins after every
-                # predicted conditional branch or return
-                self.epoch = self.seq_counter
-            self._predict(di, cycle)
+            if instr.is_branch:
+                if self.epoch_timestamps \
+                        and instr.op not in (Op.JMP, Op.CALL):
+                    # a new (more speculative) epoch begins after every
+                    # predicted conditional branch or return
+                    self.epoch = self.seq_counter
+                self._predict(di, cycle)
+            # (a non-branch keeps DynInst's default pred_next = pc + 1)
             self.fetch_queue.append(di)
-            self.stats.add(self._h_fetch_insts)
             if self._obs is not None:
                 self._obs.emit_stage(self.core_id, di.seq, pc,
                                      instr.op.value, "fetch", cycle)
@@ -360,7 +385,9 @@ class HotCore:
             fetched += 1
             if instr.op is Op.HALT:
                 self.fetch_halted = True
-                return
+                break
+        if fetched:
+            self.stats.add(self._h_fetch_insts, fetched)
 
     def _fetch_ts(self) -> int:
         return self.epoch if self.epoch_timestamps else self.seq_counter
@@ -383,11 +410,10 @@ class HotCore:
         return False
 
     def _predict(self, di: DynInst, cycle: int) -> None:
+        """Predict a branch's next pc (fetch calls this for branches
+        only)."""
         instr = di.instr
         pc = di.pc
-        if not instr.is_branch:
-            di.pred_next = pc + 1
-            return
         di.ras_ckpt = self.ras.checkpoint()
         op = instr.op
         if op is Op.JMP:
@@ -518,16 +544,27 @@ class HotCore:
     # ==================================================================
 
     def _issue(self, cycle: int) -> None:
+        ready = self.ready
+        if not ready:
+            # Nothing can issue, but each parked load still counts its
+            # store wait (FUPool resets its per-cycle counts lazily).
+            if self.parked:
+                self.stats.add(self._h_lsq_load_waits, len(self.parked))
+            return
         self.fu_pool.begin_cycle(cycle)
         strict_fu = self._strict_fu
         blocked_classes = set()
         issued = 0
         issue_width = self._issue_width
+        last_slot = None
         issued_out: List[DynInst] = []
+        parked_out: List[DynInst] = []
         # Oldest first, over the ready list only: entries still waiting
         # on a producer can neither issue nor bump anything, and past
-        # the issue width nothing younger can either.
-        for di in self.ready:
+        # the issue width nothing younger can either.  A store issued
+        # here may wake loads parked on it into ``ready``; they sort
+        # after it, so this same walk still reaches them.
+        for di in ready:
             if issued >= issue_width:
                 break
             instr = di.instr
@@ -545,9 +582,15 @@ class HotCore:
                 if di.pending or not self._try_issue_one(di, cycle):
                     blocked_classes.add(fu_class)
                     continue
-            elif not self._try_issue_one(di, cycle):
-                continue
+            else:
+                outcome = self._try_issue_one(di, cycle)
+                if not outcome:
+                    if outcome is None:  # parked on an older store
+                        parked_out.append(di)
+                    continue
             issued += 1
+            if issued == issue_width:
+                last_slot = di
             if di.state == ST_WAITING:
                 continue  # a load retrying under backpressure stays queued
             issued_out.append(di)
@@ -555,10 +598,31 @@ class HotCore:
                 self._obs.emit_stage(self.core_id, di.seq, di.pc,
                                      instr.op.value, "issue", cycle)
         for di in issued_out:
-            self.ready.remove(di)
+            ready.remove(di)
             self.iq.remove(di)
+        for di in parked_out:
+            ready.remove(di)
+            insort(self.parked, di, key=_seq_key)
+        if self.parked:
+            waits = self._parked_waits(last_slot)
+            if waits:
+                self.stats.add(self._h_lsq_load_waits, waits)
 
-    def _try_issue_one(self, di: DynInst, cycle: int) -> bool:
+    def _parked_waits(self, last_slot: Optional[DynInst]) -> int:
+        """How many parked loads count a store wait this cycle: each one
+        the issue walk would have reached had it stayed on ``ready`` —
+        all of them, or, when ``last_slot`` took the last issue slot,
+        those older than it.  Pure: the stall proof applies the same
+        rule."""
+        if last_slot is None:
+            return len(self.parked)
+        return bisect_left(self.parked, last_slot.seq, key=_seq_key)
+
+    def _try_issue_one(self, di: DynInst, cycle: int) -> Optional[bool]:
+        """Try to issue ``di``: True when it issued (or a load took a
+        slot retrying under MSHR backpressure), False when it stays on
+        ``ready``, None when a load must wait for an older store (it is
+        now on that store's ``mem_waiters``; the caller parks it)."""
         instr = di.instr
         if instr.is_load:
             return self._issue_load(di, cycle)
@@ -612,16 +676,19 @@ class HotCore:
 
     # -- loads ---------------------------------------------------------------
 
-    def _issue_load(self, di: DynInst, cycle: int) -> bool:
+    def _issue_load(self, di: DynInst, cycle: int) -> Optional[bool]:
         instr = di.instr
         values = di.operand_values()
         base = values[0] if instr.rs1 is not None else 0
         addr = (base + instr.imm) & ADDR_MASK
         di.addr = addr
         conflict = self._older_store_conflict(di, addr)
-        if conflict == "wait":
-            self.stats.add(self._h_lsq_load_waits)
-            return False
+        if conflict is not None and conflict.state != ST_DONE:
+            # Nothing but this store's address generation or completion
+            # can change the answer: wait on it.  ``_issue`` counts the
+            # ``lsq.load_waits`` bump for every parked load.
+            conflict.mem_waiters.append(di)
+            return None
         if self._taint_on and not self._address_operands_safe(di):
             self.stats.add(self._h_stt_load_blocked)
             return False
@@ -650,8 +717,15 @@ class HotCore:
     def _memory_value(self, addr: int) -> int:
         return self.memory.get(addr, 0)
 
-    def _older_store_conflict(self, load: DynInst, addr: int):
-        """Return 'wait', a forwarding store, or None (no conflict)."""
+    def _older_store_conflict(self, load: DynInst, addr: int
+                              ) -> Optional[DynInst]:
+        """The older store that decides ``load``'s fate, or None.
+
+        A store that is not ST_DONE blocks the load (its address is
+        unknown, or it matches and its value is not ready); a ST_DONE
+        store is the one to forward from; None means no conflict.
+        Pure: the stall proof calls it too.
+        """
         result = None
         for store in self.sq:
             if store.seq >= load.seq:
@@ -661,14 +735,14 @@ class HotCore:
             if store.state != ST_DONE and store.addr is None:
                 if store.committed:
                     continue
-                return "wait"
+                return store
             if store.addr == addr:
                 if store.committed:
                     result = None  # value already in memory
                 elif store.state == ST_DONE:
                     result = store
                 else:
-                    return "wait"
+                    return store
         return result
 
     def _address_operands_safe(self, di: DynInst) -> bool:
@@ -706,7 +780,19 @@ class HotCore:
         di.state = ST_EXECUTING
         di.done_cycle = cycle + 1
         insort(self.executing, di, key=_seq_key)
+        if di.mem_waiters:
+            self._wake_mem_waiters(di)
         return True
+
+    def _wake_mem_waiters(self, store: DynInst) -> None:
+        """``store`` just generated its address or reached ST_DONE:
+        move the loads parked on it back onto ``ready`` (each re-runs
+        its store-queue check at its next issue walk)."""
+        parked = self.parked
+        for load in store.mem_waiters:
+            parked.remove(load)
+            insort(self.ready, load, key=_seq_key)
+        store.mem_waiters = []
 
     # ==================================================================
     # writeback & branch resolution
@@ -742,6 +828,8 @@ class HotCore:
                     continue
             elif di.done_cycle <= cycle:
                 di.state = ST_DONE
+                if di.mem_waiters:
+                    self._wake_mem_waiters(di)
             else:
                 remaining.append(di)
                 continue
@@ -785,13 +873,20 @@ class HotCore:
                 # these links: drop them here, or each squashed
                 # producer/consumer pair is a cycle for the cyclic GC.
                 di.consumers = []
+                di.mem_waiters = []
                 squashed += 1
         if squashed:
             self.rob = deque(d for d in self.rob if not d.squashed)
             self.iq = [d for d in self.iq if not d.squashed]
             self.ready = [d for d in self.ready if not d.squashed]
+            if self.parked:
+                self.parked = [d for d in self.parked if not d.squashed]
             self.lq = [d for d in self.lq if not d.squashed]
             self.sq = [d for d in self.sq if not d.squashed]
+            for store in self.sq:
+                if store.mem_waiters:
+                    store.mem_waiters = [d for d in store.mem_waiters
+                                         if not d.squashed]
             self.executing = [d for d in self.executing if not d.squashed]
             self.unresolved_branches = {
                 d for d in self.unresolved_branches if not d.squashed}
@@ -909,9 +1004,9 @@ class HotCore:
             # Nothing reads these after commit, and keeping them would
             # chain every committed instruction back through the run's
             # history (pickling a checkpoint then recurses per link).
-            di.operands = []
-            di.operand_taints = []
-            di.taint_srcs = set()
+            di.operands = _NO_LINKS
+            di.operand_taints = _NO_LINKS
+            di.taint_srcs = _NO_TAINT
             di.rename_ckpt = None
             self.rob.popleft()
             if instr.is_load:
@@ -920,15 +1015,16 @@ class HotCore:
             if instr.is_store:
                 self.sq.remove(di)
             self.hierarchy.commit_ifetch(di.pc * INST_BYTES, di.ts, cycle)
-            self.stats.add(self._h_commit_insts)
-            self.committed_insts += 1
             committed += 1
             if self._obs is not None:
                 self._obs.emit_stage(self.core_id, di.seq, di.pc,
                                      instr.op.value, "commit", cycle)
             if instr.op is Op.HALT:
                 self.halted = True
-                return
+                break
+        if committed:
+            self.stats.add(self._h_commit_insts, committed)
+            self.committed_insts += committed
 
     def _commit_load_checks(self, di: DynInst, cycle: int) -> bool:
         """Validation + GhostMinion commit actions; False blocks commit."""

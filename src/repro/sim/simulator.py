@@ -274,7 +274,7 @@ class Simulator:
         observably identical to stepping every intervening cycle.
         """
         cycle = self.cycle
-        wake = self.shared.next_event_cycle()
+        wake = float("inf")
         bumps: List[int] = []
         replays: List = []
         classes: set = set()
@@ -292,6 +292,8 @@ class Simulator:
             bumps.extend(outcome.bumps)
             replays.extend(outcome.replays)
             classes.update(outcome.classes)
+        # Read only once no core vetoed: most calls end in a veto.
+        wake = min(wake, self.shared.next_event_cycle())
         target = min(wake, max_cycles)
         skipped = int(target - cycle)
         if skipped <= 0:

@@ -137,3 +137,18 @@ def test_unsafe_never_replays():
     late_old = hier.load(0xF000, ts=0, cycle=1)
     assert late_old is None                      # retry, not leapfrog
     assert all(r.state is not ReqState.REPLAY for r in reqs)
+
+
+def test_drain_applies_a_due_l2_fill_while_the_l1_files_idle():
+    """``drain`` returns without work only while no MSHR file — the L1
+    sides *and* the shared L2 — can have a fill due: an L2-only entry
+    (here a prefetch) still fills the L2 at its ready cycle."""
+    (hier,), shared, _stats, cfg = build()
+    shared._issue_prefetch(0x77, 0, speculative=False)
+    (entry,) = shared.l2_mshrs.entries
+    assert not hier.dport.mshrs.entries and not hier.iport.mshrs.entries
+    hier.drain(entry.ready_cycle - 1)
+    assert not shared.l2.contains(0x77)
+    hier.drain(entry.ready_cycle)
+    assert shared.l2.contains(0x77)
+    assert not shared.l2_mshrs.entries

@@ -1,6 +1,8 @@
 """MSHR file: leapfrogging (fig. 5), timeleaping, squash semantics."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.memory.mshr import MSHRFile
 from repro.memory.request import MemRequest, ReqState
@@ -175,3 +177,55 @@ def test_earliest_free_cycle():
 def test_rejects_empty_file():
     with pytest.raises(ValueError):
         MSHRFile(0, "m")
+
+
+#: (operation, which file, which entry / timestamp, cycle offset)
+MSHR_OPS = st.lists(st.tuples(
+    st.sampled_from(["allocate", "allocate_dependent", "timeleap",
+                     "steal", "drain"]),
+    st.integers(0, 1), st.integers(0, 7), st.integers(-4, 40)),
+    max_size=60)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=MSHR_OPS)
+def test_due_bound_and_drain_match_a_full_scan(ops):
+    """``_due`` stays a lower bound on every entry's ``ready_cycle``
+    under allocation, timeleap (which may move an entry earlier or
+    later, postponing its dependents), leapfrog steals and their
+    cascading cancels; and ``drain(c)`` — whether it takes the no-scan
+    fast path or not — pops exactly the entries a full scan finds due,
+    in order."""
+    l2 = MSHRFile(3, "l2")
+    l1 = MSHRFile(4, "l1")
+    files = (l1, l2)
+    cycle = 0
+    line = 0
+    for op, which, pick, delta in ops:
+        mshrs = files[which]
+        line += 1
+        if op == "allocate" and not mshrs.full():
+            mshrs.allocate(line, ts=pick, ready_cycle=cycle + delta)
+        elif op == "allocate_dependent" and not l1.full() and l2.entries:
+            # An L1 miss waiting on an in-flight L2 entry: stealing or
+            # timeleaping the L2 entry cascades to it.
+            lower = l2.entries[pick % len(l2.entries)]
+            upper = l1.allocate(line, ts=pick,
+                                ready_cycle=lower.ready_cycle + delta)
+            lower.dependents.append((l1, upper))
+        elif op == "timeleap" and mshrs.entries:
+            entry = mshrs.entries[pick % len(mshrs.entries)]
+            mshrs.timeleap(entry, pick, cycle + delta)
+        elif op == "steal" and mshrs.entries:
+            victim = mshrs.entries[pick % len(mshrs.entries)]
+            mshrs.steal(victim, line, pick, cycle + delta)
+        elif op == "drain":
+            cycle += max(delta, 0)
+            due = [e for e in mshrs.entries if e.ready_cycle <= cycle]
+            waiting = [e for e in mshrs.entries if e.ready_cycle > cycle]
+            assert mshrs.drain(cycle) == due
+            assert mshrs.entries == waiting
+        for each in files:
+            assert all(each._due <= e.ready_cycle for e in each.entries)
+            if not each.entries:
+                assert each.drain(cycle) == []

@@ -175,6 +175,49 @@ def test_purity_checker_tracks_aliases(tmp_path):
     assert codes_of(report) == ["mutating-call", "mutating-call"]
 
 
+def test_purity_checker_follows_self_helpers(tmp_path):
+    """Helpers a proof calls as ``self.<helper>()`` are walked too, one
+    level deep, resolved through inheritance and subclass overrides."""
+    root = make_repo(tmp_path, {
+        "src/repro/pipeline/hot.py": """\
+            class Hot:
+                def _conflict(self, load):
+                    self.last_conflict = load
+                    return None
+
+                def _safe(self, src):
+                    seen = []
+                    seen.append(src)
+                    return not seen
+
+                def _victim(self, port):
+                    return None
+
+                def _unreached(self):
+                    self.count += 1
+            """,
+        "src/repro/pipeline/cold.py": """\
+            from repro.pipeline.hot import Hot
+
+            class Cold(Hot):
+                def next_event_cycle(self, cycle):
+                    self._conflict(cycle)
+                    return self._safe(cycle) and self._victim(cycle)
+
+            class Colder(Cold):
+                def _victim(self, port):
+                    self.victims.append(port)
+                    return port
+            """,
+    })
+    report = run_lint(root=root, select=["proof-purity"])
+    assert sorted((f.symbol, f.code) for f in report.findings) == [
+        ("Colder._victim", "mutating-call"),
+        ("Hot._conflict", "attr-assign")], report.render_text()
+    assert {f.path for f in report.findings} == {
+        "src/repro/pipeline/hot.py", "src/repro/pipeline/cold.py"}
+
+
 def test_stats_slots_checker_fires(tmp_path):
     hot_stub = {name: "" for name in (
         "src/repro/pipeline/hotcore.py", "src/repro/memory/mshr.py",
